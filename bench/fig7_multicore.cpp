@@ -82,11 +82,9 @@ main(int argc, char **argv)
 
     for (std::size_t i = 0; i < kept.size(); ++i) {
         MachineExperiment &exp = *kept[i];
-        std::vector<MachineExperiment::PolicyResult> results;
-        for (const std::string &name : policy_names) {
-            results.push_back(exp.evaluatePolicy(name));
-            const MachineExperiment::PolicyResult &result =
-                results.back();
+        const std::vector<MachineExperiment::PolicyResult> results =
+            exp.evaluatePolicies(policy_names);
+        for (const MachineExperiment::PolicyResult &result : results) {
             policies.printRow({exp.spec().label, result.policy,
                                result.allocationLabel,
                                fmt(result.avgWs, 3),

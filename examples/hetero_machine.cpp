@@ -96,10 +96,9 @@ main()
     TablePrinter table({"policy", "allocation", "avg WS", "best WS"},
                        {16, 18, 8, 8});
     table.printHeader();
-    for (const char *name :
-         {"naive", "balanced-icount", "big-core-first", "synpa-class"}) {
-        const MachineExperiment::PolicyResult &result =
-            experiment.evaluatePolicy(name);
+    for (const MachineExperiment::PolicyResult &result :
+         experiment.evaluatePolicies({"naive", "balanced-icount",
+                                      "big-core-first", "synpa-class"})) {
         table.printRow({result.policy, result.allocationLabel,
                         fmt(result.avgWs, 3), fmt(result.bestWs, 3)});
     }

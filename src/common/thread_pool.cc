@@ -23,6 +23,19 @@ resolveJobs(int requested)
     return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
+namespace {
+
+/** Depth of pool tasks on this thread's stack (0 outside any task). */
+thread_local int taskDepth = 0;
+
+} // namespace
+
+bool
+ThreadPool::inTask()
+{
+    return taskDepth > 0;
+}
+
 ThreadPool::ThreadPool(int workers) : workers_(workers)
 {
     SOS_ASSERT(workers >= 0);
@@ -51,6 +64,7 @@ ThreadPool::drain(const std::function<void(std::size_t)> &task)
             next_.fetch_add(1, std::memory_order_relaxed);
         if (index >= count_)
             break;
+        ++taskDepth;
         try {
             task(index);
         } catch (...) {
@@ -58,6 +72,7 @@ ThreadPool::drain(const std::function<void(std::size_t)> &task)
             if (!firstError_)
                 firstError_ = std::current_exception();
         }
+        --taskDepth;
         finished_.fetch_add(1, std::memory_order_acq_rel);
     }
 }

@@ -48,6 +48,13 @@ class ThreadPool
     int workers() const { return workers_; }
 
     /**
+     * True while the calling thread is executing a task of some pool
+     * (worker or submitter alike). Code that may run inside a task
+     * checks this before fanning out, so pools are never nested.
+     */
+    static bool inTask();
+
+    /**
      * Execute task(0) .. task(count - 1) and block until all are done.
      * Tasks must not touch shared mutable state. If any task throws,
      * the first exception (in claim order) is rethrown here after the

@@ -5,6 +5,7 @@
 #include <type_traits>
 
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 #include "cpu/machine.hh"
 #include "cpu/sampling.hh"
 #include "sched/job.hh"
@@ -40,11 +41,17 @@ appendCache(std::string &key, const CacheParams &cache)
 }
 
 /**
- * Canonical rendering of everything a solo-IPC measurement depends
- * on. Collision-free by construction (unlike a hash), so a cache hit
- * is always the right reference. Must enumerate every CoreParams and
- * MemParams field: a missed field would alias configurations.
+ * Process-wide reference table. A solo IPC is a pure function of its
+ * key (the measurement runs a private job with a fixed internal seed
+ * on a private machine), so experiments sharing a configuration --
+ * every figure harness builds several Calibrators with the same one --
+ * can share measurements across instances and threads.
  */
+std::mutex soloIpcCacheMutex;
+std::map<std::string, double> soloIpcCache;
+
+} // namespace
+
 std::string
 soloIpcKey(const CoreParams &core, const MemParams &mem,
            std::uint64_t warmup_cycles, std::uint64_t measure_cycles,
@@ -102,17 +109,48 @@ soloIpcKey(const CoreParams &core, const MemParams &mem,
     return key;
 }
 
-/**
- * Process-wide reference table. A solo IPC is a pure function of its
- * key (the measurement runs a private job with a fixed internal seed
- * on a private machine), so experiments sharing a configuration --
- * every figure harness builds several Calibrators with the same one --
- * can share measurements across instances and threads.
- */
-std::mutex soloIpcCacheMutex;
-std::map<std::string, double> soloIpcCache;
+double
+measureSoloIpc(const CoreParams &core, const MemParams &mem,
+               std::uint64_t warmup_cycles, std::uint64_t measure_cycles,
+               const SampleWindows &sample, const std::string &workload,
+               int threads)
+{
+    SOS_ASSERT(measure_cycles > 0);
+    SOS_ASSERT(threads >= 1 && threads <= core.numContexts,
+               "solo run cannot use more threads than contexts");
 
-} // namespace
+    // A private job on a private core: the reference must not perturb
+    // or observe the experiment's machine state.
+    const WorkloadProfile &profile =
+        WorkloadLibrary::instance().get(workload);
+    Job job(1, profile, 0xca11b7a7eULL, threads,
+            /*adaptive=*/false);
+    Machine machine(core, mem);
+    SmtCore &smt = machine.core(0);
+    for (int t = 0; t < threads; ++t) {
+        ThreadBinding binding;
+        binding.gen = &job.generator(t);
+        binding.sync = job.syncDomain();
+        binding.syncIndex = t;
+        binding.asid = job.asid();
+        smt.attachThread(t, binding);
+    }
+
+    // References are measured at the experiment's fidelity (see
+    // Calibrator::setSampling), but never recorded into the run's
+    // sampling stats: a reference is cached machinery, not part of
+    // any one run.
+    SamplingController sampler(smt, sample);
+    sampler.setRecording(false);
+    PerfCounters warmup;
+    sampler.run(warmup_cycles, warmup);
+    PerfCounters measured;
+    sampler.run(measure_cycles, measured);
+
+    const double ipc = measured.ipc();
+    SOS_ASSERT(ipc > 0.0, "calibration produced zero IPC for ", workload);
+    return ipc;
+}
 
 Calibrator::Calibrator(const CoreParams &core, const MemParams &mem,
                        std::uint64_t warmup_cycles,
@@ -123,66 +161,73 @@ Calibrator::Calibrator(const CoreParams &core, const MemParams &mem,
     SOS_ASSERT(measure_cycles > 0);
 }
 
+std::size_t
+Calibrator::prefill(const std::vector<Key> &keys, int workers)
+{
+    // Resolve what is already known; collect each missing key once.
+    std::vector<Key> missing;
+    std::vector<std::string> missing_global;
+    {
+        const std::lock_guard<std::mutex> lock(soloIpcCacheMutex);
+        for (const Key &key : keys) {
+            SOS_ASSERT(key.second >= 1 &&
+                           key.second <= coreParams_.numContexts,
+                       "solo run cannot use more threads than contexts");
+            if (cache_.count(key) != 0 ||
+                std::find(missing.begin(), missing.end(), key) !=
+                    missing.end())
+                continue;
+            std::string global_key = soloIpcKey(
+                coreParams_, memParams_, warmupCycles_, measureCycles_,
+                sample_, key.first, key.second);
+            const auto shared = soloIpcCache.find(global_key);
+            if (shared != soloIpcCache.end()) {
+                cache_.emplace(key, shared->second);
+                continue;
+            }
+            missing.push_back(key);
+            missing_global.push_back(std::move(global_key));
+        }
+    }
+    if (missing.empty())
+        return 0;
+
+    // Each task writes only its own slot; nothing is stored until the
+    // whole batch is done, so no value depends on the claim order.
+    std::vector<double> measured(missing.size());
+    const int pool_workers =
+        ThreadPool::inTask()
+            ? 1
+            : static_cast<int>(std::min<std::size_t>(
+                  static_cast<std::size_t>(std::max(workers, 1)),
+                  missing.size()));
+    ThreadPool pool(pool_workers);
+    pool.run(missing.size(), [&](std::size_t i) {
+        measured[i] = measureSoloIpc(coreParams_, memParams_,
+                                     warmupCycles_, measureCycles_,
+                                     sample_, missing[i].first,
+                                     missing[i].second);
+    });
+
+    const std::lock_guard<std::mutex> lock(soloIpcCacheMutex);
+    for (std::size_t i = 0; i < missing.size(); ++i) {
+        cache_.emplace(missing[i], measured[i]);
+        // Another thread may have stored the same key meanwhile; the
+        // measurement is deterministic, so either copy is the value.
+        soloIpcCache.emplace(missing_global[i], measured[i]);
+    }
+    return missing.size();
+}
+
 double
 Calibrator::soloIpc(const std::string &workload, int threads)
 {
-    SOS_ASSERT(threads >= 1 && threads <= coreParams_.numContexts,
-               "solo run cannot use more threads than contexts");
-    const auto key = std::make_pair(workload, threads);
+    const Key key(workload, threads);
     const auto cached = cache_.find(key);
     if (cached != cache_.end())
         return cached->second;
-
-    const std::string global_key =
-        soloIpcKey(coreParams_, memParams_, warmupCycles_,
-                   measureCycles_, sample_, workload, threads);
-    {
-        const std::lock_guard<std::mutex> lock(soloIpcCacheMutex);
-        const auto shared = soloIpcCache.find(global_key);
-        if (shared != soloIpcCache.end()) {
-            cache_.emplace(key, shared->second);
-            return shared->second;
-        }
-    }
-
-    // A private job on a private core: the reference must not perturb
-    // or observe the experiment's machine state.
-    const WorkloadProfile &profile =
-        WorkloadLibrary::instance().get(workload);
-    Job job(1, profile, 0xca11b7a7eULL, threads,
-            /*adaptive=*/false);
-    Machine machine(coreParams_, memParams_);
-    SmtCore &core = machine.core(0);
-    for (int t = 0; t < threads; ++t) {
-        ThreadBinding binding;
-        binding.gen = &job.generator(t);
-        binding.sync = job.syncDomain();
-        binding.syncIndex = t;
-        binding.asid = job.asid();
-        core.attachThread(t, binding);
-    }
-
-    // References are measured at the experiment's fidelity (see
-    // setSampling), but never recorded into the run's sampling stats:
-    // a reference is cached machinery, not part of any one run.
-    SamplingController sampler(core, sample_);
-    sampler.setRecording(false);
-    PerfCounters warmup;
-    sampler.run(warmupCycles_, warmup);
-    PerfCounters measured;
-    sampler.run(measureCycles_, measured);
-
-    const double ipc = measured.ipc();
-    SOS_ASSERT(ipc > 0.0, "calibration produced zero IPC for ", workload);
-    cache_.emplace(key, ipc);
-    {
-        // The measurement is deterministic, so concurrent callers that
-        // raced past the lookup computed the same value; last writer
-        // wins harmlessly.
-        const std::lock_guard<std::mutex> lock(soloIpcCacheMutex);
-        soloIpcCache.emplace(global_key, ipc);
-    }
-    return ipc;
+    prefill({key}, 1);
+    return cache_.at(key);
 }
 
 void
@@ -192,8 +237,13 @@ Calibrator::calibrate(Job &job)
 }
 
 void
-Calibrator::calibrate(JobMix &mix)
+Calibrator::calibrate(JobMix &mix, int workers)
 {
+    std::vector<Key> keys;
+    keys.reserve(static_cast<std::size_t>(mix.numJobs()));
+    for (int j = 0; j < mix.numJobs(); ++j)
+        keys.emplace_back(mix.job(j).name(), mix.job(j).numThreads());
+    prefill(keys, workers);
     for (int j = 0; j < mix.numJobs(); ++j)
         calibrate(mix.job(j));
 }

@@ -7,26 +7,34 @@
  * The paper extends the definition to multithreaded jobs by using the
  * issue rate of the job running alone with no other jobs coscheduled
  * (Section 7), so a parallel job's reference depends on its thread
- * count. The Calibrator measures these references on a private core
- * with the same configuration as the experiment's core, and memoizes
- * them per (workload, thread count).
+ * count.
  *
- * Measurements are also shared process-wide through a thread-safe
- * table keyed by the full (core, memory, intervals, workload,
- * threads) configuration: a solo run is a pure function of that key
- * (private job, fixed internal seed, private machine), so Calibrator
- * instances built by different experiments -- or on different sweep
+ * The file has two parts. measureSoloIpc() is the measurement itself:
+ * a private job with a fixed internal seed on a private machine, so a
+ * reference is a pure function of its soloIpcKey() (core, memory,
+ * intervals, fidelity, workload, threads). The Calibrator is the memo
+ * around it: a per-instance (workload, threads) map in front of a
+ * mutex-guarded process-wide table keyed by soloIpcKey(), so
+ * Calibrators built by different experiments -- or on different sweep
  * worker threads -- reuse each other's references instead of
  * re-simulating them.
+ *
+ * Calibrator::prefill() measures the missing keys of a batch in
+ * parallel on a ThreadPool and stores them only once the whole batch
+ * is done. Since every key is a pure function and nothing is stored
+ * mid-batch, neither the worker count nor the claim order can change
+ * a value: a parallel fill is bit-identical to a serial one.
  */
 
 #ifndef SOS_METRICS_CALIBRATOR_HH
 #define SOS_METRICS_CALIBRATOR_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "cpu/core_params.hh"
 #include "cpu/sample_windows.hh"
@@ -37,10 +45,38 @@ namespace sos {
 class Job;
 class JobMix;
 
+/**
+ * Canonical rendering of everything a solo-IPC measurement depends
+ * on. Collision-free by construction (unlike a hash), so a cache hit
+ * is always the right reference. Must enumerate every CoreParams and
+ * MemParams field: a missed field would alias configurations.
+ */
+std::string soloIpcKey(const CoreParams &core, const MemParams &mem,
+                       std::uint64_t warmup_cycles,
+                       std::uint64_t measure_cycles,
+                       const SampleWindows &sample,
+                       const std::string &workload, int threads);
+
+/**
+ * Measure the solo IPC of @p workload with @p threads threads: a
+ * private job on a private core warmed for @p warmup_cycles, then
+ * measured over @p measure_cycles at the @p sample fidelity. Touches
+ * no shared state, so concurrent calls are safe and each result is a
+ * pure function of soloIpcKey() of the same arguments.
+ */
+double measureSoloIpc(const CoreParams &core, const MemParams &mem,
+                      std::uint64_t warmup_cycles,
+                      std::uint64_t measure_cycles,
+                      const SampleWindows &sample,
+                      const std::string &workload, int threads);
+
 /** Measures and caches solo IPC references. */
 class Calibrator
 {
   public:
+    /** A reference: (workload, thread count). */
+    using Key = std::pair<std::string, int>;
+
     /**
      * @param core Core configuration the experiment uses.
      * @param mem Memory configuration the experiment uses.
@@ -61,16 +97,31 @@ class Calibrator
     void setSampling(const SampleWindows &sample) { sample_ = sample; }
 
     /**
+     * Make every key of @p keys cached. Keys already cached (here or
+     * process-wide) and duplicates are dropped; the rest are measured
+     * on a pool of min(@p workers, missing) workers and stored once
+     * the batch is done. A pool of at most one worker runs inline, and
+     * so does any fill issued from inside a pool task: no pool is ever
+     * nested.
+     *
+     * @return How many keys were measured.
+     */
+    std::size_t prefill(const std::vector<Key> &keys, int workers);
+
+    /**
      * Reference IPC of a workload running alone with the given number
-     * of threads (1 for sequential jobs).
+     * of threads (1 for sequential jobs). Measured inline on a miss.
      */
     double soloIpc(const std::string &workload, int threads = 1);
 
     /** Set job.soloIpc from its workload and current thread count. */
     void calibrate(Job &job);
 
-    /** Calibrate every job of a mix. */
-    void calibrate(JobMix &mix);
+    /**
+     * Calibrate every job of a mix, filling the missing references
+     * on @p workers workers first.
+     */
+    void calibrate(JobMix &mix, int workers = 1);
 
   private:
     CoreParams coreParams_;
@@ -78,7 +129,7 @@ class Calibrator
     std::uint64_t warmupCycles_;
     std::uint64_t measureCycles_;
     SampleWindows sample_;
-    std::map<std::pair<std::string, int>, double> cache_;
+    std::map<Key, double> cache_;
 };
 
 } // namespace sos

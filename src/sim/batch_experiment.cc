@@ -54,7 +54,7 @@ BatchExperiment::BatchExperiment(const ExperimentSpec &spec,
                           config_.calibWarmupCycles,
                           config_.calibMeasureCycles);
     calibrator.setSampling(config_.sample);
-    calibrator.calibrate(mix_);
+    calibrator.calibrate(mix_, runner_.jobs());
 }
 
 std::uint64_t

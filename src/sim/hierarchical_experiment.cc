@@ -43,20 +43,23 @@ HierarchicalExperiment::HierarchicalExperiment(
     }
     SOS_ASSERT(!candidates_.empty());
 
-    // Measure every solo-IPC reference the plans can ask for now, on
-    // this thread; the sweep tasks then only read the table.
+    // Measure every solo-IPC reference the plans can ask for now, in
+    // one parallel fill; the sweep tasks then only read the table.
     Calibrator calibrator(config_.coreFor(spec_.level), config_.mem,
                           config_.calibWarmupCycles,
                           config_.calibMeasureCycles);
     calibrator.setSampling(config_.sample);
+    std::vector<Calibrator::Key> keys;
     for (const AllocationPlan &plan : plans) {
         for (int j = 0; j < prototype.numJobs(); ++j) {
-            const int threads =
-                plan.threadsPerJob[static_cast<std::size_t>(j)];
-            const std::string &name = prototype.job(j).name();
-            soloIpc_[{name, threads}] = calibrator.soloIpc(name, threads);
+            keys.emplace_back(
+                prototype.job(j).name(),
+                plan.threadsPerJob[static_cast<std::size_t>(j)]);
         }
     }
+    calibrator.prefill(keys, runner_.jobs());
+    for (const Calibrator::Key &key : keys)
+        soloIpc_[key] = calibrator.soloIpc(key.first, key.second);
 }
 
 JobMix

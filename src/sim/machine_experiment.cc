@@ -150,7 +150,7 @@ MachineExperiment::MachineExperiment(const MachineExperimentSpec &spec,
                           config_.calibWarmupCycles,
                           config_.calibMeasureCycles);
     calibrator.setSampling(config_.sample);
-    calibrator.calibrate(mix_);
+    calibrator.calibrate(mix_, runner_.jobs());
 
     if (coreClasses_.empty())
         return;
@@ -160,6 +160,9 @@ MachineExperiment::MachineExperiment(const MachineExperimentSpec &spec,
     // configuration, so repeated experiments share the measurements.
     const int num_classes =
         1 + *std::max_element(coreClasses_.begin(), coreClasses_.end());
+    std::vector<Calibrator::Key> keys;
+    for (int j = 0; j < mix_.numJobs(); ++j)
+        keys.emplace_back(mix_.job(j).name(), mix_.job(j).numThreads());
     soloIpcByClass_.resize(static_cast<std::size_t>(num_classes));
     for (int c = 0; c < num_classes; ++c) {
         const int rep = static_cast<int>(
@@ -170,11 +173,11 @@ MachineExperiment::MachineExperiment(const MachineExperimentSpec &spec,
                                     config_.calibWarmupCycles,
                                     config_.calibMeasureCycles);
         class_calibrator.setSampling(config_.sample);
+        class_calibrator.prefill(keys, runner_.jobs());
         auto &references = soloIpcByClass_[static_cast<std::size_t>(c)];
-        for (int j = 0; j < mix_.numJobs(); ++j) {
-            references.push_back(class_calibrator.soloIpc(
-                mix_.job(j).name(), mix_.job(j).numThreads()));
-        }
+        for (const Calibrator::Key &key : keys)
+            references.push_back(
+                class_calibrator.soloIpc(key.first, key.second));
     }
 }
 
@@ -345,14 +348,12 @@ MachineExperiment::runSymbiosValidation(std::uint64_t symbios_cycles)
     engine.evictAll();
 }
 
-const MachineExperiment::PolicyResult &
-MachineExperiment::evaluatePolicy(const std::string &name,
-                                  std::uint64_t symbios_cycles)
+std::vector<MachineExperiment::PolicyResult>
+MachineExperiment::evaluatePolicies(const std::vector<std::string> &names,
+                                    std::uint64_t symbios_cycles)
 {
     SOS_ASSERT(!kernel_.profiles().empty(),
                "run the sample phase first");
-    const std::unique_ptr<ThreadToCorePolicy> policy =
-        makeThreadToCorePolicy(name);
 
     AllocationContext ctx;
     ctx.numJobs = spec_.numJobs();
@@ -364,13 +365,27 @@ MachineExperiment::evaluatePolicy(const std::string &name,
     ctx.coreClass = coreClasses_;
     ctx.soloIpcByClass = soloIpcByClass_;
 
-    PolicyResult result;
-    result.policy = policy->name();
-    result.allocation = policy->allocate(ctx);
-    result.allocationLabel = partitionLabel(result.allocation);
+    // Allocate for every policy first, then measure all their
+    // schedules in one fan-out: runAll's results are a pure function
+    // of each schedule, so the batch splits back bit-identically.
+    std::vector<PolicyResult> results;
+    std::vector<MachineSchedule> schedules;
+    std::vector<std::size_t> first_run;
+    for (const std::string &name : names) {
+        const std::unique_ptr<ThreadToCorePolicy> policy =
+            makeThreadToCorePolicy(name);
+        PolicyResult result;
+        result.policy = policy->name();
+        result.allocation = policy->allocate(ctx);
+        result.allocationLabel = partitionLabel(result.allocation);
+        first_run.push_back(schedules.size());
+        for (MachineSchedule &schedule :
+             space_.schedulesForAllocation(result.allocation))
+            schedules.push_back(std::move(schedule));
+        results.push_back(std::move(result));
+    }
+    first_run.push_back(schedules.size());
 
-    const std::vector<MachineSchedule> schedules =
-        space_.schedulesForAllocation(result.allocation);
     const std::uint64_t cycles =
         symbios_cycles > 0 ? symbios_cycles : config_.symbiosCycles();
     const std::uint64_t timeslices =
@@ -378,18 +393,29 @@ MachineExperiment::evaluatePolicy(const std::string &name,
     const std::vector<ParallelScheduleRunner::ScheduleRun> runs =
         runAll(schedules, timeslices);
 
-    double total = 0.0;
-    double best = 0.0;
-    for (const ParallelScheduleRunner::ScheduleRun &run : runs) {
-        total += run.ws;
-        best = std::max(best, run.ws);
+    for (std::size_t p = 0; p < results.size(); ++p) {
+        PolicyResult &result = results[p];
+        double total = 0.0;
+        double best = 0.0;
+        for (std::size_t r = first_run[p]; r < first_run[p + 1]; ++r) {
+            total += runs[r].ws;
+            best = std::max(best, runs[r].ws);
+        }
+        const std::size_t count = first_run[p + 1] - first_run[p];
+        result.schedulesRun = static_cast<int>(count);
+        result.bestWs = best;
+        result.avgWs =
+            count == 0 ? 0.0 : total / static_cast<double>(count);
+        policyResults_.push_back(result);
     }
-    result.schedulesRun = static_cast<int>(runs.size());
-    result.bestWs = best;
-    result.avgWs = runs.empty()
-                       ? 0.0
-                       : total / static_cast<double>(runs.size());
-    policyResults_.push_back(std::move(result));
+    return results;
+}
+
+const MachineExperiment::PolicyResult &
+MachineExperiment::evaluatePolicy(const std::string &name,
+                                  std::uint64_t symbios_cycles)
+{
+    evaluatePolicies({name}, symbios_cycles);
     return policyResults_.back();
 }
 

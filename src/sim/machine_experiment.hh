@@ -108,10 +108,21 @@ class MachineExperiment
      * then measure the symbios WS of every per-core schedule choice
      * under that fixed allocation. Requires a completed sample phase;
      * results accumulate for publishStats()/recordTrace().
+     * Same as evaluatePolicies({name}).
      */
     const PolicyResult &
     evaluatePolicy(const std::string &name,
                    std::uint64_t symbios_cycles = 0);
+
+    /**
+     * Evaluate several policies as evaluatePolicy() does, but measure
+     * all their schedule runs in one fan-out so the pool stays full.
+     * Results (returned and accumulated) follow @p names order and are
+     * bit-identical to evaluating the names one at a time.
+     */
+    std::vector<PolicyResult>
+    evaluatePolicies(const std::vector<std::string> &names,
+                     std::uint64_t symbios_cycles = 0);
 
     const MachineExperimentSpec &spec() const { return spec_; }
     const SimConfig &config() const { return config_; }

@@ -9,6 +9,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "cpu/machine.hh"
 #include "metrics/calibrator.hh"
 #include "metrics/weighted_speedup.hh"
@@ -83,6 +84,10 @@ measuredCapacity(const SimConfig &sim, int level)
                           sim.referenceMem(), sim.calibWarmupCycles,
                           sim.calibMeasureCycles);
     const std::vector<std::string> &workloads = openSystemWorkloads();
+    std::vector<Calibrator::Key> keys;
+    for (const std::string &workload : workloads)
+        keys.emplace_back(workload, 1);
+    calibrator.prefill(keys, resolveJobs(sim.jobs));
 
     Machine machine(sim.referenceCoreFor(level), sim.referenceMem());
     TimesliceEngine engine(machine.core(0), sim.timesliceCycles());

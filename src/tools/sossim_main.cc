@@ -498,9 +498,8 @@ cmdMachine(const Args &args)
                 exp.worstWs(), exp.averageWs(), exp.bestWs());
 
     std::printf("\nthread-to-core allocation policies:\n");
-    for (const std::string &name : threadToCorePolicyNames()) {
-        const MachineExperiment::PolicyResult &result =
-            exp.evaluatePolicy(name);
+    for (const MachineExperiment::PolicyResult &result :
+         exp.evaluatePolicies(threadToCorePolicyNames())) {
         std::printf("  %-16s %-24s avg WS %.3f  best WS %.3f\n",
                     result.policy.c_str(),
                     result.allocationLabel.c_str(), result.avgWs,

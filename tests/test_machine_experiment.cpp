@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/machine_experiment.hh"
@@ -128,6 +129,48 @@ TEST(MachineExperiment, PolicyEvaluationIsDeterministicAndWellFormed)
     const auto &b = again.evaluatePolicy(a.policy);
     EXPECT_EQ(a.allocation, b.allocation);
     EXPECT_EQ(a.avgWs, b.avgWs);
+}
+
+TEST(MachineExperiment, BatchedPolicyEvaluationMatchesPerName)
+{
+    // evaluatePolicies fans every policy's schedule runs out at once;
+    // splitting the batch back must give, bit for bit, what one
+    // evaluatePolicy call per name gives -- on either warm-up path.
+    const MachineExperimentSpec spec = smallSpec();
+    const std::vector<std::string> names = threadToCorePolicyNames();
+    for (const bool snapshot : {true, false}) {
+        SimConfig config = makeFastConfig();
+        config.snapshot = snapshot;
+        config.jobs = 1;
+        MachineExperiment single(spec, config);
+        single.runSamplePhase();
+        for (const std::string &name : names)
+            single.evaluatePolicy(name);
+
+        config.jobs = 4;
+        MachineExperiment batched(spec, config);
+        batched.runSamplePhase();
+        const std::vector<MachineExperiment::PolicyResult> results =
+            batched.evaluatePolicies(names);
+
+        ASSERT_EQ(results.size(), names.size());
+        ASSERT_EQ(batched.policyResults().size(), names.size());
+        ASSERT_EQ(single.policyResults().size(), names.size());
+        for (std::size_t p = 0; p < names.size(); ++p) {
+            const MachineExperiment::PolicyResult &a =
+                single.policyResults()[p];
+            for (const MachineExperiment::PolicyResult *b :
+                 {&results[p], &batched.policyResults()[p]}) {
+                EXPECT_EQ(b->policy, names[p]);
+                EXPECT_EQ(b->policy, a.policy);
+                EXPECT_EQ(b->allocation, a.allocation);
+                EXPECT_EQ(b->allocationLabel, a.allocationLabel);
+                EXPECT_EQ(b->schedulesRun, a.schedulesRun);
+                EXPECT_EQ(b->bestWs, a.bestWs) << a.policy;
+                EXPECT_EQ(b->avgWs, a.avgWs) << a.policy;
+            }
+        }
+    }
 }
 
 TEST(MachineExperiment, CoscheduleSamplesCoverEveryCandidate)

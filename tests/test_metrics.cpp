@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "metrics/calibrator.hh"
 #include "metrics/weighted_speedup.hh"
 #include "sched/jobmix.hh"
@@ -123,6 +128,214 @@ TEST(Calibrator, CalibratesWholeMix)
     EXPECT_GT(mix.job(0).soloIpc, 0.0);
     EXPECT_GT(mix.job(1).soloIpc, 0.0);
 }
+
+/**
+ * The mix the fill tests calibrate: a duplicate job, a 2-thread
+ * parallel job and two other workloads.
+ */
+JobMix
+fillMix()
+{
+    JobMix mix(5);
+    mix.addJob("GCC");
+    mix.addJob("GCC");
+    mix.addParallelJob("ARRAY", 2);
+    mix.addJob("FP");
+    mix.addJob("IS");
+    return mix;
+}
+
+std::vector<Calibrator::Key>
+mixKeys(const JobMix &mix)
+{
+    std::vector<Calibrator::Key> keys;
+    for (int j = 0; j < mix.numJobs(); ++j)
+        keys.emplace_back(mix.job(j).name(), mix.job(j).numThreads());
+    return keys;
+}
+
+void
+expectDirectValues(const JobMix &mix, std::uint64_t warmup,
+                   std::uint64_t measure)
+{
+    for (int j = 0; j < mix.numJobs(); ++j) {
+        const Job &job = mix.job(j);
+        // Bit-identical, not approximately equal: a parallel fill
+        // must not change a single reference.
+        EXPECT_EQ(job.soloIpc,
+                  measureSoloIpc(CoreParams{}, MemParams{}, warmup,
+                                 measure, SampleWindows{}, job.name(),
+                                 job.numThreads()))
+            << job.name() << " x" << job.numThreads();
+    }
+}
+
+TEST(Calibrator, ParallelFillMatchesDirectMeasurement)
+{
+    // A warm-up/measure pair no other test uses: every key is cold.
+    const std::uint64_t warmup = 21011;
+    const std::uint64_t measure = 43013;
+    JobMix mix = fillMix();
+    ASSERT_EQ(mix.job(2).numThreads(), 2);
+    Calibrator calib(CoreParams{}, MemParams{}, warmup, measure);
+    calib.calibrate(mix, 4);
+    expectDirectValues(mix, warmup, measure);
+    EXPECT_EQ(mix.job(0).soloIpc, mix.job(1).soloIpc);
+
+    // A serial calibration of the same configuration agrees.
+    JobMix serial = fillMix();
+    Calibrator(CoreParams{}, MemParams{}, warmup, measure)
+        .calibrate(serial, 1);
+    for (int j = 0; j < mix.numJobs(); ++j)
+        EXPECT_EQ(serial.job(j).soloIpc, mix.job(j).soloIpc);
+
+    // Everything is cached now, here and process-wide: a second fill
+    // measures nothing, so it never builds a pool.
+    EXPECT_EQ(calib.prefill(mixKeys(mix), 4), 0u);
+    Calibrator fresh(CoreParams{}, MemParams{}, warmup, measure);
+    EXPECT_EQ(fresh.prefill(mixKeys(mix), 4), 0u);
+}
+
+TEST(Calibrator, SerialFillMatchesDirectMeasurement)
+{
+    const std::uint64_t warmup = 21013;
+    const std::uint64_t measure = 43019;
+    JobMix mix = fillMix();
+    Calibrator calib(CoreParams{}, MemParams{}, warmup, measure);
+    // Duplicates are measured once: GCC, ARRAY x2, FP, IS.
+    EXPECT_EQ(calib.prefill(mixKeys(mix), 1), 4u);
+    calib.calibrate(mix, 1);
+    expectDirectValues(mix, warmup, measure);
+}
+
+template <typename Params>
+using FieldEdits =
+    std::vector<std::pair<std::string, std::function<void(Params &)>>>;
+
+void bump(int &value) { ++value; }
+void bump(std::uint32_t &value) { ++value; }
+void bump(std::uint64_t &value) { ++value; }
+void bump(bool &value) { value = !value; }
+void bump(std::string &value) { value += "'"; }
+
+#define SOS_FIELD(field)                                                \
+    {                                                                   \
+        #field, [](auto &params) { bump(params.field); }                \
+    }
+
+/**
+ * Structured bindings need one name per data member, so these stop
+ * compiling when a field is added: extend the lists below (and
+ * soloIpcKey) to match.
+ */
+[[maybe_unused]] void
+fieldCounts(const CoreParams &core, const MemParams &mem,
+            const CacheParams &cache, const PrefetcherParams &prefetch,
+            const SampleWindows &sample)
+{
+    [[maybe_unused]] const auto &[c1, c2, c3, c4, c5, c6, c7, c8, c9,
+                                  c10, c11, c12, c13, c14, c15, c16,
+                                  c17, c18, c19, c20, c21, c22, c23,
+                                  c24, c25] = core;
+    [[maybe_unused]] const auto &[m1, m2, m3, m4, m5, m6, m7, m8, m9] =
+        mem;
+    [[maybe_unused]] const auto &[k1, k2, k3, k4] = cache;
+    [[maybe_unused]] const auto &[p1, p2, p3, p4] = prefetch;
+    [[maybe_unused]] const auto &[s1, s2, s3] = sample;
+}
+
+TEST(Calibrator, KeyCoversEveryConfigurationField)
+{
+    // Parallel fills share results through this key; a field left
+    // out of it would alias two configurations' references.
+    const CoreParams core;
+    const MemParams mem;
+    const SampleWindows sample;
+    const std::string base =
+        soloIpcKey(core, mem, 1000, 2000, sample, "EP", 1);
+
+    const FieldEdits<CoreParams> core_edits = {
+        SOS_FIELD(numContexts),    SOS_FIELD(fetchWidth),
+        SOS_FIELD(fetchThreads),   SOS_FIELD(fetchQueueSize),
+        SOS_FIELD(frontendDelay),  SOS_FIELD(mispredictRedirect),
+        SOS_FIELD(dispatchWidth),  SOS_FIELD(commitWidth),
+        SOS_FIELD(intQueueSize),   SOS_FIELD(fpQueueSize),
+        SOS_FIELD(intRenameRegs),  SOS_FIELD(fpRenameRegs),
+        SOS_FIELD(robSize),        SOS_FIELD(numIntUnits),
+        SOS_FIELD(fpAddPipes),     SOS_FIELD(fpMulPipes),
+        SOS_FIELD(numLsPorts),     SOS_FIELD(intAluLat),
+        SOS_FIELD(intMultLat),     SOS_FIELD(fpAddLat),
+        SOS_FIELD(fpMultLat),      SOS_FIELD(fpDivLat),
+        SOS_FIELD(l1dHitLat),      SOS_FIELD(predictorBits),
+        SOS_FIELD(roundRobinFetch),
+    };
+    ASSERT_EQ(core_edits.size(), 25u);
+    for (const auto &[name, edit] : core_edits) {
+        CoreParams changed = core;
+        edit(changed);
+        ASSERT_FALSE(changed == core) << name;
+        EXPECT_NE(soloIpcKey(changed, mem, 1000, 2000, sample, "EP", 1),
+                  base)
+            << "CoreParams::" << name;
+    }
+
+    const FieldEdits<CacheParams> cache_edits = {
+        SOS_FIELD(name), SOS_FIELD(sizeBytes), SOS_FIELD(lineBytes),
+        SOS_FIELD(assoc)};
+    const FieldEdits<PrefetcherParams> prefetch_edits = {
+        SOS_FIELD(enabled), SOS_FIELD(tableBits),
+        SOS_FIELD(confidenceThreshold), SOS_FIELD(degree)};
+    FieldEdits<MemParams> mem_edits = {
+        SOS_FIELD(l2HitLatency), SOS_FIELD(memLatency),
+        SOS_FIELD(tlbMissLatency)};
+    const std::vector<std::pair<const char *, CacheParams MemParams::*>>
+        caches = {{"l1i", &MemParams::l1i},
+                  {"l1d", &MemParams::l1d},
+                  {"l2", &MemParams::l2},
+                  {"itlb", &MemParams::itlb},
+                  {"dtlb", &MemParams::dtlb}};
+    for (const auto &[cache_name, member] : caches) {
+        for (const auto &[field, edit] : cache_edits) {
+            mem_edits.emplace_back(
+                std::string(cache_name) + "." + field,
+                [member = member, edit = edit](MemParams &params) {
+                    edit(params.*member);
+                });
+        }
+    }
+    for (const auto &[field, edit] : prefetch_edits) {
+        mem_edits.emplace_back("prefetch." + field,
+                               [edit = edit](MemParams &params) {
+                                   edit(params.prefetch);
+                               });
+    }
+    ASSERT_EQ(mem_edits.size(), 3u + 5u * 4u + 4u);
+    for (const auto &[name, edit] : mem_edits) {
+        MemParams changed = mem;
+        edit(changed);
+        ASSERT_FALSE(changed == mem) << name;
+        EXPECT_NE(soloIpcKey(core, changed, 1000, 2000, sample, "EP", 1),
+                  base)
+            << "MemParams::" << name;
+    }
+
+    // ...and the measurement arguments themselves.
+    const FieldEdits<SampleWindows> sample_edits = {
+        SOS_FIELD(fastForward), SOS_FIELD(warm), SOS_FIELD(measure)};
+    for (const auto &[name, edit] : sample_edits) {
+        SampleWindows changed = sample;
+        edit(changed);
+        EXPECT_NE(soloIpcKey(core, mem, 1000, 2000, changed, "EP", 1),
+                  base)
+            << "SampleWindows::" << name;
+    }
+    EXPECT_NE(soloIpcKey(core, mem, 1001, 2000, sample, "EP", 1), base);
+    EXPECT_NE(soloIpcKey(core, mem, 1000, 2001, sample, "EP", 1), base);
+    EXPECT_NE(soloIpcKey(core, mem, 1000, 2000, sample, "IS", 1), base);
+    EXPECT_NE(soloIpcKey(core, mem, 1000, 2000, sample, "EP", 2), base);
+}
+
+#undef SOS_FIELD
 
 } // namespace
 } // namespace sos

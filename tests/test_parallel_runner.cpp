@@ -201,6 +201,22 @@ TEST(ThreadPool, PropagatesTaskExceptions)
     }
 }
 
+TEST(ThreadPool, InTaskHoldsOnlyInsideTasks)
+{
+    EXPECT_FALSE(ThreadPool::inTask());
+    for (int workers : {1, 4}) {
+        ThreadPool pool(workers);
+        std::vector<int> inside(16, 0);
+        pool.run(inside.size(), [&](std::size_t i) {
+            inside[i] = ThreadPool::inTask() ? 1 : 0;
+        });
+        for (const int flag : inside)
+            EXPECT_EQ(flag, 1);
+        // The submitter took part in the batch; it is outside again.
+        EXPECT_FALSE(ThreadPool::inTask());
+    }
+}
+
 TEST(ThreadPool, ResolveJobsPrefersExplicitRequest)
 {
     EXPECT_EQ(resolveJobs(3), 3);
